@@ -35,9 +35,15 @@ EdgeList GenerateRmat(const RmatParams& params) {
   const double a_norm = params.a / ab;
   const double c_norm = params.c / (1.0 - ab);
 
+  // Every edge draws from one stream, 2 * scale values per edge, so each chunk
+  // jumps the stream to its first edge: the graph is the same at every pool
+  // width (and is the one a single serial pass produces).
+  uint64_t seed_state = params.seed;
+  const Xorshift64Star stream(SplitMix64(seed_state));
+  const uint64_t draws_per_edge = 2 * static_cast<uint64_t>(params.scale);
   ParallelFor(m, 4096, [&](uint64_t begin, uint64_t end) {
-    uint64_t seed_state = params.seed + begin;
-    Xorshift64Star rng(SplitMix64(seed_state));
+    Xorshift64Star rng = stream;
+    rng.Jump(begin * draws_per_edge);
     for (uint64_t e = begin; e < end; ++e) {
       VertexId src = 0;
       VertexId dst = 0;

@@ -2,9 +2,11 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -16,6 +18,11 @@ bool NameChar(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
          (c >= '0' && c <= '9') || c == '_' || c == ':';
 }
+
+// How long an accepted client gets to send its request head, and how long a
+// blocked send may wait on it. The accept loop serves one connection at a
+// time, so an idle client must not hold it longer than this.
+constexpr int kClientTimeoutSeconds = 1;
 
 // Closes fd on scope exit (every early return in the socket code).
 struct FdCloser {
@@ -40,7 +47,8 @@ std::string HttpResponse(const char* status, const char* content_type,
 void SendAll(int fd, const std::string& data) {
   size_t sent = 0;
   while (sent < data.size()) {
-    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, 0);
+    ssize_t n =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) return;
     sent += static_cast<size_t>(n);
   }
@@ -240,12 +248,20 @@ void MetricsEndpoint::AcceptLoop() {
 
 void MetricsEndpoint::HandleConnection(int fd) {
   FdCloser closer{fd};
+  const timeval timeout{kClientTimeoutSeconds, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(kClientTimeoutSeconds);
   // Read until the end of the request head; 4 KiB is plenty for "GET /path".
+  // A client that stays silent (or trickles bytes) past the deadline is
+  // dropped without a response.
   char buf[4096];
   size_t used = 0;
   while (used < sizeof(buf) - 1) {
     ssize_t n = ::recv(fd, buf + used, sizeof(buf) - 1 - used, 0);
-    if (n <= 0) break;
+    if (n < 0 || std::chrono::steady_clock::now() > deadline) return;
+    if (n == 0) break;
     used += static_cast<size_t>(n);
     buf[used] = '\0';
     if (std::strstr(buf, "\r\n\r\n") != nullptr ||

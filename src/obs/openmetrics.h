@@ -18,8 +18,10 @@
 //   /metrics  ScrapeOnce() + exposition (so every pull is a fresh window)
 //   /healthz  JSON liveness (or a caller-provided callback)
 //   /report   caller-provided callback (the serve report), 404 when unset
-// It exists so `maze_cli serve --listen=PORT` can be curled mid-run and CI
-// can validate the exposition; it is not a general web server.
+// Each client gets one second to send its request head (and each blocked
+// send one second to drain), so an idle connection cannot stall later
+// scrapes. It exists so `maze_cli serve --listen=PORT` can be curled mid-run
+// and CI can validate the exposition; it is not a general web server.
 #ifndef MAZE_OBS_OPENMETRICS_H_
 #define MAZE_OBS_OPENMETRICS_H_
 

@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <numeric>
@@ -11,6 +12,7 @@
 #include "obs/obs.h"
 #include "obs/telemetry.h"
 #include "rt/fault.h"
+#include "util/check.h"
 
 namespace maze::serve {
 namespace {
@@ -19,15 +21,6 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-// Shortest round-trippable decimal form; integral doubles print as integers
-// ("3", not "3.0000000000000000e+00"), so BFS levels and CC labels stay
-// readable while PageRank scores keep full precision.
-std::string FormatValue(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 bool AlgoHasPerVertexResult(const std::string& algo) {
@@ -112,7 +105,7 @@ StatusOr<ExecResultPtr> ExecuteRequest(const Request& request,
 
   result->payload = head;
   for (double v : result->per_vertex) {
-    result->payload += FormatValue(v);
+    AppendValue(result->payload, v);
     result->payload += '\n';
   }
   return ExecResultPtr(std::move(result));
@@ -131,7 +124,9 @@ Response BuildResponse(const Request& request, const ExecResult& result,
       break;
     case QueryKind::kPoint:
       r.payload = request.algo + " vertex " + std::to_string(request.vertex) +
-                  " = " + FormatValue(result.per_vertex[request.vertex]) + "\n";
+                  " = ";
+      AppendValue(r.payload, result.per_vertex[request.vertex]);
+      r.payload += '\n';
       break;
     case QueryKind::kTopK: {
       size_t k = std::min<size_t>(request.k, result.per_vertex.size());
@@ -146,8 +141,9 @@ Response BuildResponse(const Request& request, const ExecResult& result,
                         });
       r.payload = request.algo + " top " + std::to_string(k) + "\n";
       for (size_t i = 0; i < k; ++i) {
-        r.payload += std::to_string(order[i]) + " " +
-                     FormatValue(result.per_vertex[order[i]]) + "\n";
+        r.payload += std::to_string(order[i]) + " ";
+        AppendValue(r.payload, result.per_vertex[order[i]]);
+        r.payload += '\n';
       }
       break;
     }
@@ -220,6 +216,14 @@ obs::HistogramSnapshot SnapshotOf(const char* name, const obs::Histogram& h) {
 }
 
 }  // namespace
+
+void AppendValue(std::string& out, double v) {
+  char buf[32];
+  auto [end, ec] =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  MAZE_CHECK(ec == std::errc());
+  out.append(buf, end);
+}
 
 // One admitted execution: the canonical key, the pinned snapshot, the request
 // whose parameters drive the engine, and everyone waiting on the answer.
@@ -294,6 +298,9 @@ StatusOr<std::string> Service::ExecKey(const Request& request,
 
 Service::Service(const ServiceOptions& options)
     : options_(options),
+      registry_([this](const Snapshot& replaced) {
+        cache_.Retire(replaced.name, replaced.epoch);
+      }),
       cache_(options.cache_bytes),
       recorder_(options.bill_ring) {
   ServeObs::Get();  // Resolve every obs handle before the first request.
@@ -586,9 +593,14 @@ void Service::ExecuteFlight(const FlightPtr& flight) {
       obs::PushSpanWithId("serve.execute", "serve", 0, -1, span_start,
                           obs::NowMicros() - span_start, flight->origin_id);
     }
-    // Publish before retiring the flight: a submitter racing with retirement
-    // either joins (fulfilled below) or finds the cache populated.
-    if (result.ok()) cache_.Insert(flight->key, result.value());
+    // Publish before the flight leaves inflight_: a submitter racing with
+    // that either joins (fulfilled below) or finds the cache populated. The
+    // cache refuses the result if its snapshot was replaced meanwhile: nobody
+    // can look it up again, so only the joiners below receive it.
+    if (result.ok()) {
+      cache_.Insert(flight->key, result.value(), flight->snap->name,
+                    flight->snap->epoch);
+    }
   }
 
   std::vector<Flight::Joiner> joiners;
@@ -774,6 +786,8 @@ std::string ServiceReport::ToJson() const {
   field("misses", stats.cache.misses);
   field("insertions", stats.cache.insertions);
   field("evictions", stats.cache.evictions);
+  field("retired", stats.cache.retired);
+  field("refused", stats.cache.refused);
   field("entries", stats.cache.entries);
   field("bytes", stats.cache.bytes);
   field("byte_budget", stats.cache.byte_budget, /*last=*/true);
@@ -839,12 +853,15 @@ std::string ServiceReport::ToMarkdown() const {
            std::to_string(b.wire_bytes) + " | " + std::to_string(b.messages) +
            " |\n";
   }
-  out += "\n## Cache\n\n| hits | misses | insertions | evictions | entries | "
-         "bytes | budget |\n|---|---|---|---|---|---|---|\n| " +
+  out += "\n## Cache\n\n| hits | misses | insertions | evictions | retired | "
+         "refused | entries | bytes | budget |\n"
+         "|---|---|---|---|---|---|---|---|---|\n| " +
          std::to_string(stats.cache.hits) + " | " +
          std::to_string(stats.cache.misses) + " | " +
          std::to_string(stats.cache.insertions) + " | " +
          std::to_string(stats.cache.evictions) + " | " +
+         std::to_string(stats.cache.retired) + " | " +
+         std::to_string(stats.cache.refused) + " | " +
          std::to_string(stats.cache.entries) + " | " +
          std::to_string(stats.cache.bytes) + " | " +
          std::to_string(stats.cache.byte_budget) + " |\n";

@@ -18,6 +18,8 @@
 //   cache      — completed results are published to an LRU byte-budget cache
 //                keyed by (snapshot epoch, algo, engine, canonical params),
 //                so repeats after completion are served without executing.
+//                Installing a new generation of a snapshot retires the cached
+//                results of the generations it replaces.
 //   schedule   — admitted flights are executed by dispatcher threads; the
 //                engine work itself fans out on the PR 2 task scheduler
 //                (ThreadPool::Default()), which supports any number of
@@ -163,6 +165,12 @@ struct ServiceReport {
   std::string ToMarkdown() const;
 };
 
+// Appends the canonical payload form of one value: 17 significant digits,
+// printf "%.17g" byte for byte. That round-trips every double, and integral
+// values print as integers ("3", not "3.0000000000000000e+00"), so BFS levels
+// and CC labels stay readable while PageRank scores keep full precision.
+void AppendValue(std::string& out, double v);
+
 class Service {
  public:
   explicit Service(const ServiceOptions& options = {});
@@ -173,7 +181,8 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   // Graph generations this service executes against. Install/bump freely
-  // while requests are in flight: admitted flights pin their snapshot.
+  // while requests are in flight: admitted flights pin their snapshot. A bump
+  // drops the cached results of every older generation of that name.
   SnapshotRegistry& registry() { return registry_; }
 
   // Non-blocking admission. The returned future is fulfilled immediately for

@@ -20,10 +20,14 @@ SnapshotPtr SnapshotRegistry::Install(const std::string& name, EdgeList edges) {
   snap->oriented = snap->directed;
   snap->oriented.OrientBySmallerId();
 
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = snapshots_.find(name);
-  snap->epoch = it == snapshots_.end() ? 1 : it->second->epoch + 1;
-  snapshots_[name] = snap;
+  SnapshotPtr replaced;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    SnapshotPtr& slot = snapshots_[name];
+    snap->epoch = slot == nullptr ? 1 : slot->epoch + 1;
+    replaced = std::exchange(slot, snap);
+  }
+  if (replaced != nullptr && on_replace_) on_replace_(*replaced);
   return snap;
 }
 

@@ -6,16 +6,19 @@
 // ("epoch") instead of mutating in place. Readers hold shared_ptrs, so a
 // request admitted against epoch N keeps that snapshot alive even after epoch
 // N+1 is installed — there are no read locks on the query path and no
-// torn reads by construction. Result-cache keys embed the epoch, so bumping a
-// graph implicitly invalidates every cached result for it.
+// torn reads by construction. An optional replace hook tells the owner when a
+// generation is superseded; the service uses it to retire that generation's
+// cached results.
 #ifndef MAZE_SERVE_SNAPSHOT_H_
 #define MAZE_SERVE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/edge_list.h"
@@ -44,9 +47,18 @@ using SnapshotPtr = std::shared_ptr<const Snapshot>;
 // shared ownership of the current generation.
 class SnapshotRegistry {
  public:
+  // Called by Install() with the generation it replaced, after the registry
+  // lock is released.
+  using ReplaceHook = std::function<void(const Snapshot& replaced)>;
+
+  explicit SnapshotRegistry(ReplaceHook on_replace = nullptr)
+      : on_replace_(std::move(on_replace)) {}
+
   // Installs `edges` (taken as the deduplicated directed list) as the newest
   // generation of `name`: epoch 1 for a new name, previous epoch + 1 on a
-  // bump. Returns the installed snapshot.
+  // bump. Returns the installed snapshot. On a bump, the replace hook runs
+  // and the registry's reference to the old generation is dropped, both
+  // outside the lock, so Get() never waits on them.
   SnapshotPtr Install(const std::string& name, EdgeList edges);
 
   // Current generation of `name`; kNotFound when never installed.
@@ -56,6 +68,7 @@ class SnapshotRegistry {
   std::vector<SnapshotPtr> All() const;
 
  private:
+  const ReplaceHook on_replace_;
   mutable std::mutex mu_;
   std::map<std::string, SnapshotPtr> snapshots_;
 };

@@ -40,6 +40,12 @@ class Xorshift64Star {
     return static_cast<double>(Next() >> 11) * (1.0 / 9007199254740992.0);
   }
 
+  // Advances the generator exactly as `steps` calls to Next() would. The
+  // state update is linear over GF(2), so this applies precomputed powers of
+  // its 64x64 bit matrix: O(log steps) matrix-vector products. Lets parallel
+  // chunks of one stream start where a serial pass would have reached.
+  void Jump(uint64_t steps);
+
   // Approximately standard-normal value (sum of uniforms; adequate for
   // initializing latent factors, not for statistics).
   double NextGaussian() {

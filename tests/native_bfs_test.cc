@@ -87,6 +87,12 @@ TEST(NativeBfsTest, CompressionReducesWireBytes) {
   compressed.compress_messages = true;
   auto with = Bfs(g, rt::BfsOptions{0}, config, compressed);
   auto without = Bfs(g, rt::BfsOptions{0}, config, raw);
+  // Preconditions: the source reaches beyond itself and remote traffic
+  // flows, otherwise the comparison below is 0 against 0.
+  size_t reached = 0;
+  for (uint32_t d : without.distance) reached += d != kInfiniteDistance;
+  ASSERT_GT(reached, 1u);
+  ASSERT_GT(without.metrics.bytes_sent, 0u);
   EXPECT_LT(with.metrics.bytes_sent, without.metrics.bytes_sent);
   EXPECT_EQ(with.distance, without.distance);
 }

@@ -86,5 +86,24 @@ TEST(SplitMixTest, ProducesDistinctStreams) {
   EXPECT_NE(first, second);
 }
 
+TEST(PrngTest, JumpMatchesStepping) {
+  for (uint64_t steps : {0ull, 1ull, 2ull, 63ull, 64ull, 1000ull, 81920ull}) {
+    Xorshift64Star stepped(77);
+    for (uint64_t i = 0; i < steps; ++i) stepped.Next();
+    Xorshift64Star jumped(77);
+    jumped.Jump(steps);
+    for (int i = 0; i < 4; ++i) ASSERT_EQ(jumped.Next(), stepped.Next()) << steps;
+  }
+}
+
+TEST(PrngTest, JumpsCompose) {
+  Xorshift64Star once(5);
+  once.Jump((uint64_t{1} << 40) + 12345);
+  Xorshift64Star twice(5);
+  twice.Jump(uint64_t{1} << 40);
+  twice.Jump(12345);
+  EXPECT_EQ(once.Next(), twice.Next());
+}
+
 }  // namespace
 }  // namespace maze

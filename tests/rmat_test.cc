@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/datasets.h"
 #include "core/degree.h"
 #include "core/graph.h"
+#include "util/thread_pool.h"
 
 namespace maze {
 namespace {
@@ -94,6 +96,41 @@ TEST(RmatTest, TriangleParamsReduceTriangleDensity) {
   uint64_t sparse =
       count_triangles(GenerateRmat(RmatParams::TriangleCounting(12, 8, 9)));
   EXPECT_LT(sparse, dense);
+}
+
+struct Fingerprint {
+  VertexId vertices = 0;
+  size_t edges = 0;
+  uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a over (src, dst) pairs.
+};
+
+Fingerprint LivejournalAtWidth(unsigned width) {
+  ThreadPool::Default().Resize(width);
+  EdgeList el = LoadGraphDataset("livejournal", /*scale_adjust=*/-2);
+  Fingerprint f;
+  f.vertices = el.num_vertices;
+  f.edges = el.edges.size();
+  for (const Edge& e : el.edges) {
+    for (VertexId x : {e.src, e.dst}) {
+      f.hash ^= x;
+      f.hash *= 0x100000001b3ull;
+    }
+  }
+  return f;
+}
+
+// The generator draws every edge from one stream, so the stand-in graphs do
+// not depend on the pool width. The pinned values are the single-stream
+// (width-1) graph that the experiments and the benchmark were made from.
+TEST(RmatTest, LivejournalFingerprintIsIndependentOfPoolWidth) {
+  for (unsigned width : {1u, 4u}) {
+    SCOPED_TRACE(width);
+    Fingerprint f = LivejournalAtWidth(width);
+    EXPECT_EQ(f.vertices, 32768u);
+    EXPECT_EQ(f.edges, 521563u);
+    EXPECT_EQ(f.hash, 0x584374ac4973b06dull);
+  }
+  ThreadPool::Default().Resize(0);  // Back to the MAZE_THREADS default.
 }
 
 }  // namespace

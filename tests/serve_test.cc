@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -28,6 +29,7 @@
 #include "serve/script.h"
 #include "serve/slo.h"
 #include "serve/snapshot.h"
+#include "util/prng.h"
 #include "obs/openmetrics.h"
 #include "tests/json_checker.h"
 #include "tests/openmetrics_checker.h"
@@ -113,8 +115,11 @@ TEST(ResultCacheTest, LookupHitAndMissAccounting) {
 }
 
 TEST(ResultCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
-  // Each entry costs 100 payload bytes; budget fits two.
-  ResultCache cache(200);
+  // Every entry has a one-byte key and a 100-byte payload; the budget fits
+  // exactly two.
+  const size_t entry = ResultCache::EntryBytes(
+      "a", {}, *MakeResult(std::string(100, 'a')));
+  ResultCache cache(2 * entry);
   cache.Insert("a", MakeResult(std::string(100, 'a')));
   cache.Insert("b", MakeResult(std::string(100, 'b')));
   // Touch "a" so "b" is now least recently used.
@@ -126,12 +131,13 @@ TEST(ResultCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   auto stats = cache.GetStats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
-  EXPECT_LE(stats.bytes, 200u);
+  EXPECT_LE(stats.bytes, 2 * entry);
 }
 
 TEST(ResultCacheTest, OversizedResultIsNotCached) {
-  ResultCache cache(50);
-  cache.Insert("small", MakeResult(std::string(40, 's')));
+  auto small = MakeResult(std::string(40, 's'));
+  ResultCache cache(ResultCache::EntryBytes("small", {}, *small));
+  cache.Insert("small", small);
   cache.Insert("huge", MakeResult(std::string(1000, 'h')));
   EXPECT_EQ(cache.Lookup("huge"), nullptr);
   // The resident entry survives: one oversized insert must not flush the cache.
@@ -144,6 +150,67 @@ TEST(ResultCacheTest, InsertExistingKeyIsNoOp) {
   cache.Insert("k", MakeResult("second"));
   EXPECT_EQ(cache.Lookup("k")->payload, "first");
   EXPECT_EQ(cache.GetStats().insertions, 1u);
+}
+
+// The charge covers what the entry really holds: the key, and the allocated
+// capacity of the result's buffers rather than their used length.
+TEST(ResultCacheTest, ChargeCountsKeyAndBufferCapacities) {
+  auto result = std::make_shared<ExecResult>();
+  result->payload = "v";
+  result->payload.reserve(4096);
+  result->per_vertex.reserve(512);
+  const std::string key(300, 'k');
+  const size_t charge = ResultCache::EntryBytes(key, "g", *result);
+  EXPECT_GE(charge, key.size() + 4096 + 512 * sizeof(double));
+  EXPECT_GT(charge, ResultCache::EntryBytes("k", "g", *result) + 250);
+
+  // Three such entries under a budget of two and a half: the third insert
+  // evicts the first, and the charged bytes are exactly two entries.
+  ResultCache cache(charge * 5 / 2);
+  for (char c : {'a', 'b', 'c'}) {
+    auto copy = std::make_shared<ExecResult>();
+    copy->payload = "v";
+    copy->payload.reserve(4096);
+    copy->per_vertex.reserve(512);
+    ASSERT_TRUE(cache.Insert(std::string(300, c), copy, "g", 1));
+  }
+  auto stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.bytes, 2 * charge);
+  EXPECT_EQ(cache.Lookup(std::string(300, 'a')), nullptr);
+}
+
+TEST(ResultCacheTest, RetireDropsOnlyOlderGenerationsOfThatName) {
+  ResultCache cache(1 << 20);
+  ASSERT_TRUE(cache.Insert("g@1/x", MakeResult("g1"), "g", 1));
+  ASSERT_TRUE(cache.Insert("g@2/x", MakeResult("g2"), "g", 2));
+  ASSERT_TRUE(cache.Insert("g@3/x", MakeResult("g3"), "g", 3));
+  ASSERT_TRUE(cache.Insert("h@1/x", MakeResult("h1"), "h", 1));
+  const size_t live = ResultCache::EntryBytes("g@3/x", "g", *MakeResult("g3")) +
+                      ResultCache::EntryBytes("h@1/x", "h", *MakeResult("h1"));
+
+  cache.Retire("g", 2);
+  auto stats = cache.GetStats();
+  EXPECT_EQ(stats.retired, 2u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, live);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(cache.Lookup("g@1/x"), nullptr);
+  EXPECT_EQ(cache.Lookup("g@2/x"), nullptr);
+  EXPECT_NE(cache.Lookup("g@3/x"), nullptr);
+  EXPECT_NE(cache.Lookup("h@1/x"), nullptr);
+
+  // A late publish for a retired generation is refused; a live one is not.
+  EXPECT_FALSE(cache.Insert("g@2/y", MakeResult("late"), "g", 2));
+  EXPECT_EQ(cache.Lookup("g@2/y"), nullptr);
+  EXPECT_TRUE(cache.Insert("g@3/y", MakeResult("live"), "g", 3));
+  // Retiring an older epoch again does not lower the watermark.
+  cache.Retire("g", 1);
+  EXPECT_FALSE(cache.Insert("g@2/z", MakeResult("late"), "g", 2));
+  stats = cache.GetStats();
+  EXPECT_EQ(stats.refused, 2u);
+  EXPECT_EQ(stats.entries, 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,6 +426,99 @@ TEST(ServiceCacheTest, EpochBumpInvalidatesCachedResults) {
   // Same deterministic source: the answer itself is unchanged.
   EXPECT_EQ(second.payload, first.payload);
   EXPECT_EQ(service.Stats().executed, 2u);
+}
+
+// A bump retires the old generation's results at once: after one execution
+// at the new epoch, the cache holds that entry alone.
+TEST(ServiceCacheTest, EpochBumpRetiresOldGenerationEntries) {
+  Service service;
+  service.registry().Install("g", TestGraph());
+  Request bfs = PageRankRequest("native");
+  bfs.algo = "bfs";
+  Request cc = PageRankRequest("native");
+  cc.algo = "cc";
+  for (const Request& r : {PageRankRequest("native"), bfs, cc}) {
+    ASSERT_TRUE(service.Call(r).status.ok());
+  }
+  const ResultCache::Stats before = service.Stats().cache;
+  EXPECT_EQ(before.entries, 3u);
+
+  service.registry().Install("g", TestGraph());  // Bump to epoch 2.
+  Response fresh = service.Call(PageRankRequest("native"));
+  ASSERT_TRUE(fresh.status.ok());
+  EXPECT_EQ(fresh.epoch, 2u);
+  const ResultCache::Stats after = service.Stats().cache;
+  EXPECT_EQ(after.retired, 3u);
+  EXPECT_EQ(after.evictions, 0u);
+  EXPECT_EQ(after.entries, 1u) << "no epoch-1 entry may survive the bump";
+  EXPECT_LT(after.bytes, before.bytes);
+  // The one entry left is the new epoch's.
+  Response again = service.Call(PageRankRequest("native"));
+  EXPECT_TRUE(again.cache_hit);
+  EXPECT_EQ(again.epoch, 2u);
+}
+
+// A flight whose snapshot is replaced before it finishes still answers every
+// joiner, but its result is not published: no later request could look it up.
+TEST(ServiceCacheTest, FlightOfReplacedSnapshotAnswersJoinersButIsNotPublished) {
+  Service service;
+  service.registry().Install("g", TestGraph());
+  service.Pause();
+  auto opener = service.Submit(PageRankRequest("native"));
+  auto joiner = service.Submit(PageRankRequest("native"));
+  service.registry().Install("g", TestGraph());  // Replaced while queued.
+  service.Resume();
+  service.Drain();
+
+  Response a = opener.get();
+  Response b = joiner.get();
+  ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+  ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+  EXPECT_EQ(a.epoch, 1u);
+  EXPECT_TRUE(b.deduped);
+  EXPECT_EQ(b.payload, a.payload);
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.executed, 1u);
+  EXPECT_EQ(stats.cache.insertions, 0u);
+  EXPECT_EQ(stats.cache.refused, 1u);
+  EXPECT_EQ(stats.cache.entries, 0u);
+  EXPECT_EQ(stats.cache.bytes, 0u);
+
+  Response current = service.Call(PageRankRequest("native"));
+  ASSERT_TRUE(current.status.ok());
+  EXPECT_FALSE(current.cache_hit);
+  EXPECT_EQ(current.epoch, 2u);
+  EXPECT_EQ(current.payload, a.payload);
+}
+
+// The payload value format is printf's "%.17g", byte for byte, over integers,
+// -1, tiny and huge magnitudes, infinities and arbitrary bit patterns.
+TEST(ServicePayloadFormatTest, AppendValueMatchesPrintf17g) {
+  std::vector<double> values = {0.0, -0.0, -1.0, 1.0, 0.1, 1e-300, 5e-324,
+                                1e300, std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()};
+  for (int i = -1000; i <= 100000; ++i) values.push_back(i);
+  uint64_t state = 0x5EED;
+  for (int i = 0; i < 100000; ++i) {
+    uint64_t bits = SplitMix64(state);
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);  // NaNs included: both print "nan" or "-nan".
+    // Uniform [0, 1) and scaled PageRank-like magnitudes.
+    values.push_back(static_cast<double>(bits >> 11) * 0x1p-53 * 1e-3);
+  }
+  size_t mismatches = 0;
+  for (double v : values) {
+    char want[40];
+    std::snprintf(want, sizeof(want), "%.17g", v);
+    std::string got;
+    AppendValue(got, v);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "got " << got << " want " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << values.size() << " values";
 }
 
 // A straggler fault plan dilates the modeled clock without perturbing the

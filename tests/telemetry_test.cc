@@ -5,10 +5,15 @@
 // counter registry is process-wide.
 #include "obs/telemetry.h"
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -481,6 +486,38 @@ TEST(MetricsEndpointTest, ServesMetricsHealthzReportAnd404) {
   int port = endpoint.port();
   endpoint.Stop();
   EXPECT_FALSE(HttpGet(port, "/metrics").ok());
+}
+
+// The endpoint serves one connection at a time: a client that connects and
+// never sends a request must be dropped, not block every later scrape.
+TEST(MetricsEndpointTest, IdleClientDoesNotStallScrapes) {
+  TelemetryRegistry reg;
+  MetricsEndpoint endpoint(&reg);
+  ASSERT_TRUE(endpoint.Start(0).ok());
+  int idle = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(idle, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(endpoint.port()));
+  ASSERT_EQ(::connect(idle, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  // HttpGet blocks until the endpoint answers; run it on a thread so a hang
+  // fails the test instead of wedging the binary.
+  std::promise<StatusOr<std::string>> scraped;
+  auto result = scraped.get_future();
+  std::thread scraper(
+      [&] { scraped.set_value(HttpGet(endpoint.port(), "/metrics")); });
+  const bool answered =
+      result.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  ::close(idle);  // Unblocks a hung endpoint, so the scraper can be joined.
+  scraper.join();
+  ASSERT_TRUE(answered) << "/metrics hung behind an idle connection";
+  auto body = result.get();
+  ASSERT_TRUE(body.ok()) << body.status().ToString();
+  EXPECT_TRUE(testutil::OpenMetricsChecker(body.value()).Valid());
+  endpoint.Stop();
 }
 
 TEST(MetricsEndpointTest, StartTelemetryFromEnvUnsetIsNull) {
