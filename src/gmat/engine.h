@@ -7,7 +7,8 @@
 //   superstep =  apply phase   : Compute() over active vertices on the
 //                                diagonal ranks, producing the frontier x
 //                ⊕.⊗ SpMV      : y = A^T x over the side×side tile grid,
-//                                ⊕ = Program::Combine (or list concat)
+//                                ⊕ = Program::Combine, the Program's Gather
+//                                fold (kReduceOnDelivery), or list concat
 //                swap          : y becomes next superstep's inbox
 //
 // The thesis (and the bench_gmat_ninja_gap gate): the lowered inner loops are
@@ -47,6 +48,17 @@
 
 namespace maze::gmat {
 
+// One inbox slot per vertex: the combined Message for combinable programs, the
+// folded Partial for reduce-on-delivery ones (unused by list programs).
+template <typename P, bool = ReduceTrait<P>::value>
+struct InboxSlot {
+  using type = typename P::Message;
+};
+template <typename P>
+struct InboxSlot<P, true> {
+  using type = typename P::Partial;
+};
+
 // Executes vertex Programs by superstep-at-a-time lowering to semiring SpMV.
 // Interface-compatible with vertex::SyncEngine so the two can be compared
 // per-superstep (gmat_lower_test) and per-run (cross_engine_test).
@@ -75,33 +87,45 @@ class Engine {
   const LoweredMatrix& lowered() const { return lowered_; }
 
  private:
+  static constexpr bool kCombinable = P::kCombinable;
+  static constexpr bool kReduce = ReduceTrait<P>::value;
+  static_assert(!(kCombinable && kReduce),
+                "a Program combines messages or folds them, not both");
+  using Slot = typename InboxSlot<P>::type;
+
   // One vertex of the apply phase: feed the inbox to Compute, capture its
   // broadcast into the frontier x, and collect targeted sends. Takes raw
   // views (not the engine's containers) so callers can hoist them into
   // registers, and is forced inline because it sits on three hot call sites
   // that GCC's cost model otherwise declines to inline — capture reloads and
   // the unshared call are each worth ~4ns/vertex (bench_gmat_ninja_gap).
-  template <bool kComb>
   [[gnu::always_inline]] static inline void ApplyVertex(
       P* prog, vertex::Context<Message>* ctx, VertexId v,
-      const uint64_t* cur_has_w, const Message* cur_acc_p,
+      const uint64_t* cur_has_w, const Slot* cur_acc_p,
       const std::vector<Message>* cur_list_p, Value* values_p,
       Message* x_values_p, Bitvector* x_has_p, const EdgeId* out_off,
       bool atomic_x, std::vector<std::pair<VertexId, Message>>* chunk_out,
       bool* local_more) {
-    const Message* msgs = nullptr;
-    size_t count = 0;
-    if constexpr (kComb) {
-      if ((cur_has_w[v >> 6] >> (v & 63)) & 1u) {
-        msgs = &cur_acc_p[v];
-        count = 1;
-      }
+    if constexpr (kReduce) {
+      const bool delivered = (cur_has_w[v >> 6] >> (v & 63)) & 1u;
+      ctx->Reset();
+      *local_more |= prog->Apply(ctx, v, &values_p[v],
+                                 delivered ? &cur_acc_p[v] : nullptr);
     } else {
-      msgs = cur_list_p[v].data();
-      count = cur_list_p[v].size();
+      const Message* msgs = nullptr;
+      size_t count = 0;
+      if constexpr (kCombinable) {
+        if ((cur_has_w[v >> 6] >> (v & 63)) & 1u) {
+          msgs = &cur_acc_p[v];
+          count = 1;
+        }
+      } else {
+        msgs = cur_list_p[v].data();
+        count = cur_list_p[v].size();
+      }
+      ctx->Reset();
+      *local_more |= prog->Compute(ctx, v, &values_p[v], msgs, count);
     }
-    ctx->Reset();
-    *local_more |= prog->Compute(ctx, v, &values_p[v], msgs, count);
     if (ctx->send_all_ && out_off[v + 1] > out_off[v]) {
       x_values_p[v] = std::move(ctx->payload_);
       if (atomic_x) {
@@ -157,7 +181,6 @@ int Engine<P>::Run(P* program, int max_supersteps) {
   const VertexId n = g_.num_vertices();
   const int side = lowered_.side();
   const matrix::DistMatrix& m = lowered_.matrix();
-  constexpr bool kCombinable = P::kCombinable;
 
   values_.resize(n);
   for (VertexId v = 0; v < n; ++v) program->Init(v, g_, &values_[v]);
@@ -170,14 +193,16 @@ int Engine<P>::Run(P* program, int max_supersteps) {
     if (g_.OutDegree(v) > 0) ++broadcasters;
   }
 
-  // Double-buffered inboxes, same shape as the interpreter's: accumulator +
-  // has-bit per vertex for combinable programs, message lists otherwise.
-  std::vector<Message> cur_acc(kCombinable ? n : 0);
-  std::vector<Message> next_acc(kCombinable ? n : 0);
+  // Double-buffered inboxes: a slot + has-bit per vertex for combinable and
+  // reduce-on-delivery programs, message lists (the interpreter's shape)
+  // otherwise.
+  constexpr bool kSlots = kCombinable || kReduce;
+  std::vector<Slot> cur_acc(kSlots ? n : 0);
+  std::vector<Slot> next_acc(kSlots ? n : 0);
   Bitvector cur_has(n);
   Bitvector next_has(n);
-  std::vector<std::vector<Message>> cur_list(kCombinable ? 0 : n);
-  std::vector<std::vector<Message>> next_list(kCombinable ? 0 : n);
+  std::vector<std::vector<Message>> cur_list(kSlots ? 0 : n);
+  std::vector<std::vector<Message>> next_list(kSlots ? 0 : n);
 
   // Every vertex runs in superstep 0 so sparse programs can seed themselves.
   Bitvector active(n);
@@ -274,7 +299,7 @@ int Engine<P>::Run(P* program, int max_supersteps) {
         P* const prog = program;
         Value* const values_p = values_.data();
         const uint64_t* const cur_has_w = cur_has.words();
-        const Message* const cur_acc_p = cur_acc.data();
+        const Slot* const cur_acc_p = cur_acc.data();
         const std::vector<Message>* const cur_list_p = cur_list.data();
         Message* const x_values_p = x.values.data();
         Bitvector* const x_has_p = &x.has;
@@ -291,19 +316,17 @@ int Engine<P>::Run(P* program, int max_supersteps) {
                 std::min(slice_len, static_cast<size_t>(c + 1) * kChunk);
             for (size_t pi = static_cast<size_t>(c) * kChunk; pi < p_end;
                  ++pi) {
-              ApplyVertex<kCombinable>(prog, &ctx, slice[pi], cur_has_w,
-                                       cur_acc_p, cur_list_p, values_p,
-                                       x_values_p, x_has_p, out_off, atomic_x,
-                                       chunk_out, &local_more);
+              ApplyVertex(prog, &ctx, slice[pi], cur_has_w, cur_acc_p,
+                          cur_list_p, values_p, x_values_p, x_has_p, out_off,
+                          atomic_x, chunk_out, &local_more);
             }
           } else if (all_active) {
             const VertexId v_end =
                 seg_begin + std::min(seg_len, (c + 1) * kChunk);
             for (VertexId v = seg_begin + c * kChunk; v < v_end; ++v) {
-              ApplyVertex<kCombinable>(prog, &ctx, v, cur_has_w, cur_acc_p,
-                                       cur_list_p, values_p, x_values_p,
-                                       x_has_p, out_off, atomic_x, chunk_out,
-                                       &local_more);
+              ApplyVertex(prog, &ctx, v, cur_has_w, cur_acc_p, cur_list_p,
+                          values_p, x_values_p, x_has_p, out_off, atomic_x,
+                          chunk_out, &local_more);
             }
           } else {
             // Mid-density active sets: hop set bit to set bit inside the
@@ -321,10 +344,9 @@ int Engine<P>::Run(P* program, int max_supersteps) {
               }
               v += static_cast<VertexId>(std::countr_zero(w));
               if (v >= v_end) break;
-              ApplyVertex<kCombinable>(prog, &ctx, v, cur_has_w, cur_acc_p,
-                                       cur_list_p, values_p, x_values_p,
-                                       x_has_p, out_off, atomic_x, chunk_out,
-                                       &local_more);
+              ApplyVertex(prog, &ctx, v, cur_has_w, cur_acc_p, cur_list_p,
+                          values_p, x_values_p, x_has_p, out_off, atomic_x,
+                          chunk_out, &local_more);
               ++v;
             }
           }
@@ -480,6 +502,10 @@ int Engine<P>::Run(P* program, int max_supersteps) {
               LowerTileRowMasked<P>(lowered_.tile(i, j), x.has, x.values,
                                     &next_acc, &next_has, atomic_bits);
             }
+          } else if constexpr (kReduce) {
+            LowerTileRowReduce<P>(*program, lowered_.tile(i, j), x.has,
+                                  x.values, values_, &next_acc, &next_has,
+                                  atomic_bits);
           } else {
             LowerTileRowList<P>(lowered_.tile(i, j), x.has, x.values,
                                 &next_list, &next_has, atomic_bits);
@@ -495,9 +521,10 @@ int Engine<P>::Run(P* program, int max_supersteps) {
     // Wire accounting, before targeted delivery so the reduce bytes cover only
     // SpMV results. Broadcast: segment j's frontier payload goes from its
     // diagonal owner to every tile of grid column j. Reduce: segment i's
-    // combined inbox comes back to its diagonal owner from grid row i. Both
-    // are functions of (x, y) contents only — schedule-invariant by
-    // construction.
+    // combined inbox comes back to its diagonal owner from grid row i — one
+    // slot per delivered destination (GraphMat's row reduce), or every queued
+    // message for list programs. Both are functions of (x, y) contents only —
+    // schedule-invariant by construction.
     if (side > 1) {
       std::vector<uint64_t> xbytes(side, 0);
       std::vector<uint64_t> ybytes(side, 0);
@@ -514,7 +541,9 @@ int Engine<P>::Run(P* program, int max_supersteps) {
         int seg = 0;
         for (uint32_t dst : bits) {
           while (dst >= static_cast<uint32_t>(m.RangeEnd(seg))) ++seg;
-          if constexpr (kCombinable) {
+          if constexpr (kReduce) {
+            ybytes[seg] += 4 + P::PartialWireBytes(next_acc[dst]);
+          } else if constexpr (kCombinable) {
             ybytes[seg] += 4 + P::MessageWireBytes(next_acc[dst]);
           } else {
             for (const Message& msg : next_list[dst]) {
@@ -562,6 +591,12 @@ int Engine<P>::Run(P* program, int max_supersteps) {
           ProgramSemiring<P>::Accumulate(&next_acc[dst],
                                          !next_has.Test(dst), msg);
           next_has.Set(dst);
+        } else if constexpr (kReduce) {
+          if (!next_has.Test(dst)) {
+            program->ZeroPartial(&next_acc[dst]);
+            next_has.Set(dst);
+          }
+          program->Gather(dst, values_[dst], msg, &next_acc[dst]);
         } else {
           next_list[dst].push_back(std::move(msg));
           next_has.Set(dst);
@@ -581,7 +616,7 @@ int Engine<P>::Run(P* program, int max_supersteps) {
     clock_.EndStep(/*overlap_comm=*/false);
 
     // Swap inboxes.
-    if constexpr (kCombinable) {
+    if constexpr (kSlots) {
       std::swap(cur_acc, next_acc);
     } else {
       std::swap(cur_list, next_list);
@@ -614,11 +649,18 @@ int Engine<P>::Run(P* program, int max_supersteps) {
   }
 
   // Footprint: compiled tiles (pattern + transpose) sliced across ranks, the
-  // value array, and the double-buffered accumulator + wire buffers.
+  // value array, and the double-buffered accumulator + wire buffers. A
+  // Partial's payload is what its wire form carries.
   uint64_t state_bytes = static_cast<uint64_t>(n) * sizeof(Value);
-  uint64_t acc_bytes = kCombinable
-                           ? static_cast<uint64_t>(n) * sizeof(Message) * 2
-                           : wire_buffer_peak * 2;
+  uint64_t acc_bytes = wire_buffer_peak * 2;
+  if constexpr (kReduce) {
+    Slot zero;
+    program->ZeroPartial(&zero);
+    acc_bytes = static_cast<uint64_t>(n) * 2 *
+                (sizeof(Slot) + P::PartialWireBytes(zero));
+  } else if constexpr (kCombinable) {
+    acc_bytes = static_cast<uint64_t>(n) * sizeof(Message) * 2;
+  }
   clock_.ChargeMemory(0, obs::MemPhase::kGraph,
                       lowered_.MemoryBytes() /
                           std::max(1, config_.num_ranks));

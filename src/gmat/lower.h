@@ -4,8 +4,9 @@
 //   - x is the sparse frontier of broadcast payloads (frontier.h),
 //   - ⊗ is "read the source's payload" (broadcast semantics: every out-edge
 //     carries the same message, so Multiply is projection onto the x operand),
-//   - ⊕ is the Program's Combine for combinable programs, or free-monoid
-//     concatenation (message lists) for non-combinable ones,
+//   - ⊕ is the Program's Combine for combinable programs, the Program's
+//     Gather fold for reduce-on-delivery ones (CF), or free-monoid
+//     concatenation (message lists) for the rest (triangle counting),
 //   - the additive identity is *absence*: a has-bit per destination stands in
 //     for ⊕'s identity element, and a source outside the frontier is the
 //     annihilator of ⊗ (it contributes nothing to any destination).
@@ -39,7 +40,8 @@
 namespace maze::gmat {
 
 // Maps a vertex Program's message algebra onto (⊕, ⊗) with explicit
-// absence-as-identity. Only combinable programs have a ⊕; non-combinable ones
+// absence-as-identity. Only combinable programs have a ⊕; reduce-on-delivery
+// programs fold through their Gather (LowerTileRowReduce below) and the rest
 // lower to the free monoid (LowerTileRowList below).
 // Detects P::kAnyCombine: the Program's promise that every message broadcast
 // in one superstep is byte-identical, so ⊕ acts as GraphBLAS's ANY operator
@@ -67,6 +69,17 @@ struct ConvergedSkipTrait : std::false_type {};
 template <typename P>
 struct ConvergedSkipTrait<P, std::void_t<decltype(P::kConvergedSkip)>>
     : std::bool_constant<P::kConvergedSkip> {};
+
+// Detects P::kReduceOnDelivery: the Program's promise that Compute over a
+// message list equals "ZeroPartial, Gather each message in list order, Apply"
+// (vertex/engine.h). Messages then need not be kept: LowerTileRowReduce folds
+// each one into the destination's Partial as it is delivered, and the apply
+// phase calls Apply on the fold.
+template <typename P, typename = void>
+struct ReduceTrait : std::false_type {};
+template <typename P>
+struct ReduceTrait<P, std::void_t<decltype(P::kReduceOnDelivery)>>
+    : std::bool_constant<P::kReduceOnDelivery> {};
 
 template <typename P>
 struct ProgramSemiring {
@@ -294,10 +307,56 @@ void LowerTileRowAny(const matrix::Tile& t, const Bitvector& x_has,
   });
 }
 
-// Free-monoid lowering for non-combinable programs: y[dst] is the list of
-// messages in ascending source order (matching the interpreted engine's
-// single-rank delivery order). Lists for a destination are only touched by its
-// own grid row, so push_back needs no lock; the has-bit marks activation.
+// Reduce-on-delivery lowering (GraphMat's PROCESS_MESSAGE + REDUCE): y[dst]
+// is the Program's Partial, folded from the frontier in-neighbors' payloads in
+// ascending source order. The first delivery zeroes the slot, so a destination
+// that hears nothing keeps its has-bit clear and its slot untouched. The fold
+// order is the list kernel's queue order, so Apply over the Partial is Compute
+// over the list, bit for bit. Gather reads the destination's current value,
+// which no other phase writes while the SpMV runs.
+template <typename P>
+void LowerTileRowReduce(const P& prog, const matrix::Tile& t,
+                        const Bitvector& x_has,
+                        const std::vector<typename P::Message>& payload,
+                        const std::vector<typename P::Value>& values,
+                        std::vector<typename P::Partial>* acc, Bitvector* has,
+                        bool atomic_bits = true) {
+  using Message = typename P::Message;
+  using Value = typename P::Value;
+  using Partial = typename P::Partial;
+  ParallelFor(t.num_rows(), 64, [&](uint64_t lo, uint64_t hi) {
+    // Hoisted raw views; see LowerTileRowDense.
+    const EdgeId* const off = t.offsets.data();
+    const VertexId* const srcs = t.sources.data();
+    const uint64_t* const xw = x_has.words();
+    const Message* const pay = payload.data();
+    const Value* const vals = values.data();
+    Partial* const out = acc->data();
+    Bitvector* const hb = has;
+    const VertexId row0 = t.row_begin;
+    for (VertexId r = static_cast<VertexId>(lo); r < static_cast<VertexId>(hi);
+         ++r) {
+      const VertexId dst = row0 + r;
+      bool started = false;
+      const EdgeId e_end = off[r + 1];
+      for (EdgeId e = off[r]; e < e_end; ++e) {
+        const VertexId src = srcs[e];
+        if (((xw[src >> 6] >> (src & 63)) & 1u) == 0) continue;
+        if (!started) {
+          if (FirstDelivery(hb, dst, atomic_bits)) prog.ZeroPartial(&out[dst]);
+          started = true;
+        }
+        prog.Gather(dst, vals[dst], pay[src], &out[dst]);
+      }
+    }
+  });
+}
+
+// Free-monoid lowering for programs that neither combine nor fold on delivery
+// (triangle counting): y[dst] is the list of messages in ascending source
+// order (matching the interpreted engine's single-rank delivery order). Lists
+// for a destination are only touched by its own grid row, so push_back needs no
+// lock; the has-bit marks activation.
 template <typename P>
 void LowerTileRowList(const matrix::Tile& t, const Bitvector& x_has,
                       const std::vector<typename P::Message>& payload,

@@ -24,6 +24,11 @@ bool NameChar(char c) {
 // time, so an idle client must not hold it longer than this.
 constexpr int kClientTimeoutSeconds = 1;
 
+// How long HttpGet waits on its whole exchange: well above a healthy scrape
+// (milliseconds) and the endpoint's own client timeout, so only an endpoint
+// that accepted and then stopped answering trips it.
+constexpr int kHttpGetTimeoutSeconds = 5;
+
 // Closes fd on scope exit (every early return in the socket code).
 struct FdCloser {
   int fd;
@@ -322,20 +327,39 @@ StatusOr<std::string> HttpGet(int port, const std::string& path) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Status::IoError("socket() failed");
   FdCloser closer{fd};
+  // Bounds connect, send and every recv; the deadline bounds a trickle.
+  const timeval timeout{kHttpGetTimeoutSeconds, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(kHttpGetTimeoutSeconds);
+  const std::string where = "127.0.0.1:" + std::to_string(port);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<uint16_t>(port));
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    return Status::Unavailable("connect(127.0.0.1:" + std::to_string(port) +
+    return Status::Unavailable("connect(" + where +
                                ") failed: " + std::strerror(errno));
   }
   std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
   SendAll(fd, request);
   std::string response;
   char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+  while (true) {
+    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n == 0) break;
+    if (n < 0 && errno == EINTR) continue;
+    if ((n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) ||
+        std::chrono::steady_clock::now() > deadline) {
+      return Status::DeadlineExceeded(
+          "no complete response from " + where + " within " +
+          std::to_string(kHttpGetTimeoutSeconds) + " s");
+    }
+    if (n < 0) {
+      return Status::IoError("recv(" + where +
+                             ") failed: " + std::strerror(errno));
+    }
     response.append(buf, static_cast<size_t>(n));
   }
   size_t head_end = response.find("\r\n\r\n");

@@ -89,7 +89,8 @@ StatusOr<LiveTelemetry> StartTelemetryFromEnv(
     const char* env_name = "MAZE_TELEMETRY");
 
 // Loopback HTTP GET helper (tests, bench self-checks): returns the response
-// body for 2xx statuses, an error Status otherwise.
+// body for 2xx statuses, an error Status otherwise. A peer that does not
+// finish its response within 5 s yields DeadlineExceeded instead of a hang.
 StatusOr<std::string> HttpGet(int port, const std::string& path);
 
 }  // namespace maze::obs

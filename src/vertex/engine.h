@@ -28,6 +28,20 @@
 //                  const Message* messages, size_t count);
 //     static Message Combine(const Message& a, const Message& b);  // if combinable
 //     static size_t MessageWireBytes(const Message& m);
+//
+//     // Optional, for non-combinable programs whose Compute is a fold over the
+//     // messages in delivery order (CF). Compute must equal "ZeroPartial,
+//     // Gather each message in order, then Apply" (Apply gets null when no
+//     // message arrived). This engine still calls Compute over the message
+//     // list; gmat folds each message into the Partial as it is delivered.
+//     static constexpr bool kReduceOnDelivery = true;
+//     using Partial = ...;
+//     void ZeroPartial(Partial* acc) const;
+//     void Gather(VertexId v, const Value& value, const Message& m,
+//                 Partial* acc) const;
+//     bool Apply(Context<Message>* ctx, VertexId v, Value* value,
+//                const Partial* acc);
+//     static size_t PartialWireBytes(const Partial& acc);
 //   };
 #ifndef MAZE_VERTEX_ENGINE_H_
 #define MAZE_VERTEX_ENGINE_H_

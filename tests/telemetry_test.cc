@@ -503,21 +503,50 @@ TEST(MetricsEndpointTest, IdleClientDoesNotStallScrapes) {
   ASSERT_EQ(::connect(idle, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
 
-  // HttpGet blocks until the endpoint answers; run it on a thread so a hang
-  // fails the test instead of wedging the binary.
-  std::promise<StatusOr<std::string>> scraped;
-  auto result = scraped.get_future();
-  std::thread scraper(
-      [&] { scraped.set_value(HttpGet(endpoint.port(), "/metrics")); });
-  const bool answered =
-      result.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
-  ::close(idle);  // Unblocks a hung endpoint, so the scraper can be joined.
-  scraper.join();
-  ASSERT_TRUE(answered) << "/metrics hung behind an idle connection";
-  auto body = result.get();
-  ASSERT_TRUE(body.ok()) << body.status().ToString();
+  // HttpGet gives up after its own timeout, so an endpoint stalled behind
+  // the idle client fails here instead of wedging the binary.
+  auto body = HttpGet(endpoint.port(), "/metrics");
+  ::close(idle);
+  ASSERT_TRUE(body.ok()) << "/metrics stalled behind an idle connection: "
+                         << body.status().ToString();
   EXPECT_TRUE(testutil::OpenMetricsChecker(body.value()).Valid());
   endpoint.Stop();
+}
+
+// A peer that accepts the connection and never answers: HttpGet must give up
+// with a Status instead of blocking its caller forever.
+TEST(MetricsEndpointTest, HttpGetTimesOutOnSilentPeer) {
+  int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 4), 0);  // The kernel completes the handshake.
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  const int port = ntohs(addr.sin_port);
+
+  std::promise<StatusOr<std::string>> got;
+  auto result = got.get_future();
+  const auto start = std::chrono::steady_clock::now();
+  std::thread client([&] { got.set_value(HttpGet(port, "/metrics")); });
+  const bool returned =
+      result.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  ::close(listener);  // Resets the pending connection, freeing a hung client.
+  client.join();
+  ASSERT_TRUE(returned) << "HttpGet hung on a silent peer";
+  auto body = result.get();
+  EXPECT_FALSE(body.ok());
+  EXPECT_EQ(body.status().code(), StatusCode::kDeadlineExceeded)
+      << body.status().ToString();
+  EXPECT_LT(waited, 10.0);
 }
 
 TEST(MetricsEndpointTest, StartTelemetryFromEnvUnsetIsNull) {
